@@ -5,35 +5,32 @@ run — tenants (reusing :class:`repro.serve.server.TenantSpec`), server
 count, replication factor, vnode ring seed, replica policy, per-server
 interconnect backend, arbitration, fault schedule, seed.  Same config +
 seed => byte-identical :class:`~repro.cluster.metrics.ClusterResult`,
-faults included; :func:`cluster_perturbed` proves it by re-running
-under seeded tie-break shuffles, exactly like
-:func:`repro.serve.server.serve_perturbed` does for one server.
+faults included; :func:`repro.serve.server.perturbed` proves it by
+re-running under seeded tie-break shuffles, as it does for one server.
 
 Of the tenant QoS knobs, the cluster honours ``weight`` (per-node WRR
 arbitration share) and ``queue_depth`` (per-node ring size, block on
-full); token-bucket rate limiting and shed-on-full are single-server
-admission features that stay in :mod:`repro.serve`.
+full).  Token-bucket rate limiting and shed-on-full are single-server
+admission features of :mod:`repro.serve`; :class:`ClusterConfig`
+rejects tenants that set them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.cluster.faults import FaultInjector, FaultSpec
-from repro.cluster.metrics import ClusterResult
+from repro.cluster.metrics import ClusterResult, ClusterTenantMetrics
 from repro.cluster.node import ClusterNode
 from repro.cluster.policies import POLICIES, build_policy
 from repro.cluster.ring import HashRing
 from repro.cluster.router import Router
 from repro.config import SimConfig
 from repro.serve.engine import EventLoop
-from repro.serve.nvme_mq import ARBITERS
-from repro.serve.server import PerturbationReport, TenantSpec
+from repro.serve.qos import SHED
+from repro.serve.server import TenantSpec, check_tenants
 from repro.sim import racecheck as racecheck_mod
 from repro.sim.racecheck import RaceChecker
-from repro.sim.stats import LatencyHistogram
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,16 @@ class ClusterConfig:
     faults: tuple[FaultSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ValueError("need at least one tenant")
-        names = [spec.name for spec in self.tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tenant names in {names}")
+        check_tenants(self.tenants, self.arbitration)
+        for spec in self.tenants:
+            if spec.qos.rate_limit_qps is not None:
+                raise ValueError(
+                    f"tenant {spec.name!r}: rate_limit_qps is not supported by the cluster"
+                )
+            if spec.qos.full_policy == SHED:
+                raise ValueError(
+                    f"tenant {spec.name!r}: full_policy={SHED!r} is not supported by the cluster"
+                )
         if self.servers <= 0:
             raise ValueError("servers must be positive")
         if self.replication <= 0:
@@ -85,10 +87,6 @@ class ClusterConfig:
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown replica policy {self.policy!r}; choose from {sorted(POLICIES)}"
-            )
-        if self.arbitration not in ARBITERS:
-            raise ValueError(
-                f"unknown arbitration {self.arbitration!r}; choose from {sorted(ARBITERS)}"
             )
         if self.max_inflight_per_server <= 0:
             raise ValueError("max_inflight_per_server must be positive")
@@ -142,7 +140,6 @@ class Cluster:
                 arbitration=config.arbitration,
                 max_inflight=config.max_inflight_per_server,
                 fine_grained=config.fine_grained,
-                racecheck=racecheck,
             )
         self.policy = build_policy(config.policy, config.hedge_delay_ns)
         self.router = Router(
@@ -163,44 +160,16 @@ class Cluster:
         self.router.start_clients()
         elapsed_ns = self.loop.run(self.config.max_time_ns)
         tenant_states = self.router.tenant_states()
-        merged = LatencyHistogram()
-        merged_reads = LatencyHistogram()
-        totals = {"submitted": 0, "completed": 0, "reads": 0, "writes": 0}
-        hedges = {"issued": 0, "won": 0, "cancelled": 0, "wasted": 0}
+        # The whole cluster as one tenant: counters summed, latency
+        # histograms merged, in tenant order.
+        total = ClusterTenantMetrics("overall")
         for state in tenant_states:
-            metrics = state.metrics
-            merged.merge(metrics.latency)
-            merged_reads.merge(metrics.read_latency)
-            totals["submitted"] += metrics.submitted
-            totals["completed"] += metrics.completed
-            totals["reads"] += metrics.reads
-            totals["writes"] += metrics.writes
-            hedges["issued"] += metrics.hedges_issued
-            hedges["won"] += metrics.hedges_won
-            hedges["cancelled"] += metrics.hedges_cancelled
-            hedges["wasted"] += metrics.hedges_wasted
-        elapsed_s = elapsed_ns / 1e9 if elapsed_ns > 0 else 0.0
+            total.merge(state.metrics)
+        # Demanded bytes are reported per tenant only.
         overall = {
-            "submitted": float(totals["submitted"]),
-            "completed": float(totals["completed"]),
-            "reads": float(totals["reads"]),
-            "writes": float(totals["writes"]),
-            "hedges_issued": float(hedges["issued"]),
-            "hedges_won": float(hedges["won"]),
-            "hedges_cancelled": float(hedges["cancelled"]),
-            "hedges_wasted": float(hedges["wasted"]),
-            "achieved_qps": totals["completed"] / elapsed_s if elapsed_s else 0.0,
-            "mean_latency_ns": merged.mean_ns,
-            "p50_ns": merged.p50_ns,
-            "p95_ns": merged.p95_ns,
-            "p99_ns": merged.p99_ns,
-            "p999_ns": merged.p999_ns,
-            "max_ns": merged.max_ns,
-            "read_mean_latency_ns": merged_reads.mean_ns,
-            "read_p50_ns": merged_reads.p50_ns,
-            "read_p99_ns": merged_reads.p99_ns,
-            "read_p999_ns": merged_reads.p999_ns,
-            "read_max_ns": merged_reads.max_ns,
+            name: value
+            for name, value in total.snapshot(elapsed_ns).items()
+            if name != "demanded_bytes"
         }
         # Every node runs the same backend unless overridden; report the
         # common one (or the base config's) plus any per-server drift.
@@ -242,37 +211,8 @@ def run_cluster(
     ).run()
 
 
-def cluster_digest(result: ClusterResult) -> str:
-    """sha256 of the canonical-JSON result (regression currency)."""
-    payload = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def cluster_perturbed(
-    config: ClusterConfig,
-    sim_config: SimConfig | None = None,
-    *,
-    seeds: tuple[int, ...] = tuple(range(1, 9)),
-) -> PerturbationReport:
-    """Prove (or refute) tie-break independence of a cluster run.
-
-    Same contract as :func:`repro.serve.server.serve_perturbed`: one
-    unperturbed run, one run per seed with simultaneous events shuffled
-    by seeded uniforms; a race-free cluster is byte-identical across
-    every seed — faults, hedges and cancellations included.
-    """
-    baseline = cluster_digest(run_cluster(config, sim_config))
-    digests = {
-        seed: cluster_digest(run_cluster(config, sim_config, tiebreak_seed=seed))
-        for seed in seeds
-    }
-    return PerturbationReport(baseline_digest=baseline, digests=digests)
-
-
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "cluster_digest",
-    "cluster_perturbed",
     "run_cluster",
 ]

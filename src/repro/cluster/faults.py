@@ -41,7 +41,7 @@ LINK_DEGRADE = "link_degrade"
 FAULT_KINDS = (SERVER_STALL, DIE_SLOWDOWN, LINK_DEGRADE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FaultSpec:
     """One injected fault: what, where, when, how hard."""
 

@@ -38,6 +38,20 @@ class ClusterTenantMetrics:
     #: write-all and pinned to the full replica set regardless).
     read_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
+    def merge(self, other: "ClusterTenantMetrics") -> None:
+        """Fold another tenant's counters and latencies into this one."""
+        self.submitted += other.submitted
+        self.completed += other.completed
+        self.reads += other.reads
+        self.writes += other.writes
+        self.demanded_bytes += other.demanded_bytes
+        self.hedges_issued += other.hedges_issued
+        self.hedges_won += other.hedges_won
+        self.hedges_cancelled += other.hedges_cancelled
+        self.hedges_wasted += other.hedges_wasted
+        self.latency.merge(other.latency)
+        self.read_latency.merge(other.read_latency)
+
     def snapshot(self, elapsed_ns: float) -> dict[str, float]:
         elapsed_s = elapsed_ns / 1e9 if elapsed_ns > 0 else 0.0
         achieved_qps = self.completed / elapsed_s if elapsed_s else 0.0

@@ -106,11 +106,13 @@ SETTLE = "settle"
 
 #: Methods whose callable arguments the *event loop* will invoke later,
 #: during a timestamp wave: ``schedule``/``schedule_at`` event
-#: callbacks, ``acquire`` completion callbacks, and client ``bind``
-#: submit hooks.  Function refs passed anywhere else (``sorted`` keys,
-#: ``benchmark(fn)`` drivers, ``map``) are called synchronously by the
-#: receiver and become ordinary call edges instead of wave roots.
-WAVE_CALLBACK_SINKS = frozenset({"schedule", "schedule_at", "acquire", "bind"})
+#: callbacks, ``acquire`` completion callbacks, ``StagePipeline.replay``
+#: completion callbacks (handed on to the last stage's ``acquire``), and
+#: client ``bind`` submit hooks.  Function refs passed anywhere else
+#: (``sorted`` keys, ``benchmark(fn)`` drivers, ``map``) are called
+#: synchronously by the receiver and become ordinary call edges instead
+#: of wave roots.
+WAVE_CALLBACK_SINKS = frozenset({"schedule", "schedule_at", "acquire", "replay", "bind"})
 
 #: Methods registering settle-phase hooks.
 SETTLE_CALLBACK_SINKS = frozenset({"add_settler"})

@@ -43,10 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     from repro.serve.server import (
         PerturbationReport,
         ServeConfig,
+        ServingNode,
         StorageServer,
         TenantSpec,
+        perturbed,
+        result_digest,
         serve,
-        serve_perturbed,
     )
 
 #: Lazily resolved attributes -> defining submodule.
@@ -56,10 +58,12 @@ _LAZY = {
     "OpenLoopClient": "repro.serve.clients",
     "PerturbationReport": "repro.serve.server",
     "ServeConfig": "repro.serve.server",
+    "ServingNode": "repro.serve.server",
     "StorageServer": "repro.serve.server",
     "TenantSpec": "repro.serve.server",
+    "perturbed": "repro.serve.server",
+    "result_digest": "repro.serve.server",
     "serve": "repro.serve.server",
-    "serve_perturbed": "repro.serve.server",
 }
 
 
@@ -86,12 +90,14 @@ __all__ = [
     "ScheduledEvent",
     "ServeConfig",
     "ServeResult",
+    "ServingNode",
     "StorageServer",
     "TenantMetrics",
     "TenantQoS",
     "TenantQueue",
     "TokenBucket",
     "WeightedRoundRobinArbiter",
+    "perturbed",
+    "result_digest",
     "serve",
-    "serve_perturbed",
 ]

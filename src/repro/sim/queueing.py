@@ -13,12 +13,15 @@ The timeline runs on the shared discrete-event engine
 same loop the multi-tenant serving layer schedules on — so there is
 exactly one event-ordering implementation to trust: requests are
 admitted in order as completions free closed-loop slots, and each stage
-serves in arrival order with deterministic tie-breaking.
+serves in arrival order with deterministic tie-breaking.  The three
+stages are a :class:`StagePipeline`, the same one the storage server
+and every cluster node replay their requests through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.serve.engine import EventLoop, FifoResource
 
@@ -58,10 +61,49 @@ class QueueingResult:
             return 0.0
         return self.requests / (self.total_ns / 1e9)
 
-    def utilization(self, stage_capacity_ns: float, busy_ns: float) -> float:
-        if stage_capacity_ns <= 0:
-            return 0.0
-        return busy_ns / stage_capacity_ns
+
+class StagePipeline:
+    """The host -> NAND channel -> PCIe stage FIFOs every request crosses.
+
+    Built in that order and named ``host``, ``channel:<i>`` and ``pcie``
+    behind an optional ``prefix`` (a cluster node's ``s0:``).
+    """
+
+    def __init__(
+        self, loop: EventLoop, *, host_servers: int, channels: int, prefix: str = ""
+    ) -> None:
+        self.host = FifoResource(loop, host_servers, name=f"{prefix}host")
+        self.channels = [
+            FifoResource(loop, name=f"{prefix}channel:{index}") for index in range(channels)
+        ]
+        self.pcie = FifoResource(loop, name=f"{prefix}pcie")
+
+    def replay(
+        self,
+        demand: RequestDemand,
+        key: int,
+        done: Callable[[float], None],
+        nand_scale: float = 1.0,
+        pcie_scale: float = 1.0,
+    ) -> None:
+        """Run ``demand`` through host, its channel and PCIe; then ``done(end_ns)``.
+
+        ``key`` is the request's admission priority at every stage.  The
+        scales multiply NAND and PCIe service (fault injection); a scale
+        of ``1.0`` is exact, so unscaled callers charge the demand as is.
+        """
+        channel = self.channels[demand.channel % len(self.channels)]
+        pcie = self.pcie
+        nand_ns = demand.nand_ns * nand_scale
+        pcie_ns = demand.pcie_ns * pcie_scale
+
+        def on_nand(_end_ns: float) -> None:
+            pcie.acquire(pcie_ns, done, key=key)
+
+        def on_host(_end_ns: float) -> None:
+            channel.acquire(nand_ns, on_nand, key=key)
+
+        self.host.acquire(demand.host_ns, on_host, key=key)
 
 
 class PipelineSimulator:
@@ -84,50 +126,41 @@ class PipelineSimulator:
         if queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
         loop = EventLoop()
-        host = FifoResource(loop, self.host_servers, name="host")
-        channels = [
-            FifoResource(loop, name=f"channel:{index}") for index in range(self.channels)
-        ]
-        pcie = FifoResource(loop, name="pcie")
+        pipeline = StagePipeline(
+            loop, host_servers=self.host_servers, channels=self.channels
+        )
 
         count = len(demands)
-        state = {"next": 0, "total_latency": 0.0, "finish": 0.0}
+        pending = iter(range(count))
+        total_latency = 0.0
         #: Indexed by request so callers can zip against ``demands``
         #: even though completions happen out of admission order.
         latencies: list[float] = [0.0] * count if keep_latencies else []
 
         def admit() -> None:
-            index = state["next"]
-            if index >= count:
+            index = next(pending, None)
+            if index is None:
                 return
-            state["next"] = index + 1
-            demand = demands[index]
             admit_ns = loop.now_ns
-            channel = channels[demand.channel % self.channels]
 
-            def on_pcie(end_ns: float) -> None:
+            def done(end_ns: float) -> None:
+                nonlocal total_latency
                 latency = end_ns - admit_ns
-                state["total_latency"] += latency
+                total_latency += latency
                 if keep_latencies:
                     latencies[index] = latency
-                if end_ns > state["finish"]:
-                    state["finish"] = end_ns
                 admit()  # completion frees one closed-loop slot
-
-            def on_nand(_end_ns: float) -> None:
-                pcie.acquire(demand.pcie_ns, on_pcie, key=index)
-
-            def on_host(_end_ns: float) -> None:
-                channel.acquire(demand.nand_ns, on_nand, key=index)
 
             # The admission index keys every stage acquire, so when two
             # requests reach a stage in the same timestamp wave the FIFO
             # admits them in request order, not event tie-break order.
-            host.acquire(demand.host_ns, on_host, key=index)
+            pipeline.replay(demands[index], index, done)
 
         for _ in range(min(queue_depth, count)):
             admit()
-        loop.run()
+        # The last event is the latest completion: the final clock is
+        # the makespan.
+        total_ns = loop.run()
 
         # Busy totals are input sums (service is work-conserving), so
         # accumulate them in request order — bit-identical to what the
@@ -135,8 +168,8 @@ class PipelineSimulator:
         return QueueingResult(
             requests=count,
             queue_depth=queue_depth,
-            total_ns=state["finish"],
-            mean_latency_ns=state["total_latency"] / count if count else 0.0,
+            total_ns=total_ns,
+            mean_latency_ns=total_latency / count if count else 0.0,
             host_busy_ns=sum(demand.host_ns for demand in demands),
             nand_busy_ns=sum(demand.nand_ns for demand in demands),
             pcie_busy_ns=sum(demand.pcie_ns for demand in demands),
@@ -153,4 +186,4 @@ class PipelineSimulator:
         return max(host_busy, max(per_channel), pcie_busy)
 
 
-__all__ = ["PipelineSimulator", "QueueingResult", "RequestDemand"]
+__all__ = ["PipelineSimulator", "QueueingResult", "RequestDemand", "StagePipeline"]

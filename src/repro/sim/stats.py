@@ -9,7 +9,7 @@ support, complementing the log-bucketed approximate histograms of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -211,35 +211,9 @@ class LatencyHistogram:
         }
 
 
-@dataclass
-class StatRegistry:
-    """A loose bag of named counters for ad-hoc instrumentation."""
-
-    counters: dict[str, Counter] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        """Fetch-or-create a counter by name."""
-        found = self.counters.get(name)
-        if found is None:
-            found = Counter(name)
-            self.counters[name] = found
-        return found
-
-    def incr(self, name: str, by: int = 1) -> int:
-        return self.counter(name).incr(by)
-
-    def value(self, name: str) -> int:
-        found = self.counters.get(name)
-        return found.value if found else 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: counter.value for name, counter in sorted(self.counters.items())}
-
-
 __all__ = [
     "Counter",
     "HitMissCounter",
     "LatencyHistogram",
-    "StatRegistry",
     "TrafficMeter",
 ]

@@ -6,21 +6,16 @@ perturbation independence, race-free execution under the happens-before
 checker, hedging economics, and write-all replication accounting.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    FaultSpec,
-    cluster_digest,
-    cluster_perturbed,
-    run_cluster,
-)
+from repro.cluster import ClusterConfig, FaultSpec, run_cluster
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import DIE_SLOWDOWN, LINK_DEGRADE, SERVER_STALL
-from repro.serve.qos import TenantQoS
-from repro.serve.server import TenantSpec
+from repro.serve.qos import SHED, TenantQoS
+from repro.serve.server import TenantSpec, perturbed, result_digest
 from repro.sim.racecheck import RaceChecker
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 
@@ -103,6 +98,23 @@ def test_config_validation():
         _config(backend_overrides=(("s9", "cxl_lmb"),))
 
 
+@pytest.mark.parametrize(
+    ("qos", "field"),
+    [
+        (TenantQoS(rate_limit_qps=50_000.0), "rate_limit_qps"),
+        (TenantQoS(full_policy=SHED), "full_policy"),
+    ],
+)
+def test_server_only_qos_rejected(qos, field):
+    """Token buckets and shed-on-full exist only in the single server."""
+    alpha, beta = _tenants()
+    with pytest.raises(ValueError, match=f"'beta'.*{field}"):
+        _config(tenants=(alpha, dataclasses.replace(beta, qos=qos)))
+    # The knobs the cluster honours stay accepted.
+    honoured = TenantQoS(weight=3, queue_depth=16)
+    _config(tenants=(alpha, dataclasses.replace(beta, qos=honoured)))
+
+
 def test_all_requests_complete(sim_config):
     result = run_cluster(_config(), sim_config)
     overall = result.overall
@@ -117,7 +129,7 @@ def test_byte_identical_determinism(sim_config):
     config = _config(policy="hedged", faults=_all_faults())
     first = run_cluster(config, sim_config)
     second = run_cluster(config, sim_config)
-    assert cluster_digest(first) == cluster_digest(second)
+    assert result_digest(first) == result_digest(second)
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
         second.to_dict(), sort_keys=True
     )
@@ -127,7 +139,9 @@ def test_byte_identical_determinism(sim_config):
 def test_perturbation_independence_with_faults(sim_config, policy):
     """Same result under >= 4 seeded tie-break shuffles, faults active."""
     config = _config(policy=policy, faults=_all_faults())
-    report = cluster_perturbed(config, sim_config, seeds=(1, 2, 3, 4))
+    report = perturbed(
+        lambda seed: run_cluster(config, sim_config, tiebreak_seed=seed), (1, 2, 3, 4)
+    )
     assert report.identical, report.render()
 
 
@@ -195,7 +209,7 @@ def test_backend_override_changes_result(sim_config):
         _config(backend_overrides=(("s1", "cxl_lmb"),)), sim_config
     )
     assert mixed.overall["completed"] == base.overall["completed"]
-    assert cluster_digest(mixed) != cluster_digest(base)
+    assert result_digest(mixed) != result_digest(base)
 
 
 def test_max_time_truncates_run(sim_config):

@@ -89,14 +89,18 @@ def _real_tree_index():
 def test_real_tree_phase_classification() -> None:
     index = _real_tree_index()
     # Completion callbacks scheduled on the loop run during waves ...
-    assert index.phase("repro.serve.server.StorageServer._complete") == "wave"
+    assert index.phase("repro.serve.server.ServingNode._complete") == "wave"
     assert (
-        index.phase("repro.serve.server.StorageServer._dispatch.<locals>.on_nand")
+        index.phase("repro.sim.queueing.StagePipeline.replay.<locals>.on_nand")
         == "wave"
     )
+    # (the subclasses' completion hooks through the shared core too) ...
+    assert index.phase("repro.serve.server.StorageServer._on_done") == "wave"
+    assert index.phase("repro.cluster.node.ClusterNode._on_done") == "wave"
     # ... settlers (and code only they reach) run in the settle phase ...
     assert index.phase("repro.serve.engine.FifoResource._settle") == "settle"
-    assert index.phase("repro.cluster.node.ClusterNode._dispatch") == "settle"
+    assert index.phase("repro.serve.server.ServingNode._dispatch") == "settle"
+    assert index.phase("repro.cluster.node.ClusterNode._fetched") == "settle"
     # ... and entry points reachable from both sides classify as both.
     assert index.phase("repro.serve.engine.FifoResource.acquire") == "both"
     # Unreached helpers stay unclassified instead of defaulting to wave.

@@ -8,7 +8,6 @@ from repro.sim.stats import (
     Counter,
     HitMissCounter,
     LatencyHistogram,
-    StatRegistry,
     TrafficMeter,
 )
 
@@ -82,16 +81,6 @@ def test_amplification_without_demand_is_zero():
     meter = TrafficMeter()
     meter.device_read(10)
     assert meter.read_amplification == 0.0
-
-
-def test_registry_fetch_or_create():
-    registry = StatRegistry()
-    registry.incr("a")
-    registry.incr("a", 2)
-    registry.incr("b")
-    assert registry.value("a") == 3
-    assert registry.value("missing") == 0
-    assert registry.snapshot() == {"a": 3, "b": 1}
 
 
 # --- LatencyHistogram -------------------------------------------------
