@@ -3,7 +3,7 @@
 Since the stage-trace refactor (PR 1), the resource ledger is a
 *derived view*: charged :class:`repro.sim.trace.Stage` entries fold
 into the :class:`repro.sim.resources.ResourceModel` at exactly one
-choke point (``Tracer._fold``).  Direct ledger charging — or advancing
+choke point (``Tracer.add``).  Direct ledger charging — or advancing
 a :class:`VirtualClock` from a module that never touches the Tracer —
 reintroduces costs the traces cannot see, silently breaking the
 "ledger totals equal trace sums" invariant the runtime sanitizer

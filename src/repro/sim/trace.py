@@ -48,7 +48,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from functools import cache
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.sim import sanitize
 from repro.sim.queueing import RequestDemand
@@ -74,36 +75,55 @@ def channel_tag(index: int) -> str:
     return f"{_CHANNEL_PREFIX}{index}"
 
 
+@cache
 def parse_channel(resource: str) -> int | None:
-    """Channel index of a ``"channel:<i>"`` tag, else ``None``."""
+    """Channel index of a ``"channel:<i>"`` tag, else ``None``.
+
+    Memoised: a run uses a handful of distinct tags, so each is parsed
+    once and every later stage costs one dictionary lookup.
+    """
     if not resource.startswith(_CHANNEL_PREFIX):
         return None
     return int(resource[len(_CHANNEL_PREFIX) :])
 
 
-@dataclass(frozen=True, slots=True)
-class Stage:
-    """One costed step of a request: resource tag + name + duration."""
-
+class _StageFields(NamedTuple):
     resource: str
     name: str
     ns: float
-    #: On the QD-1 critical path (contributes to serial latency).
-    latency: bool = True
-    #: Occupies its resource in the throughput view (folded into the
-    #: ledger).  Derived serial stages (``"nand"``) must be uncharged.
-    charged: bool = True
+    latency: bool
+    charged: bool
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.ns):
-            raise ValueError(f"non-finite stage duration {self.ns}")
-        if self.ns < 0:
-            raise ValueError(f"negative stage duration {self.ns}")
-        if self.charged and self.resource == NAND:
-            raise ValueError(
-                "generic 'nand' stages are derived views and cannot be "
-                "charged; charge a specific 'channel:<i>' instead"
-            )
+
+class Stage(_StageFields):
+    """One costed step of a request: resource tag + name + duration.
+
+    ``latency``: on the QD-1 critical path (contributes to serial
+    latency).  ``charged``: occupies its resource in the throughput view
+    (folded into the ledger); derived serial stages (``"nand"``) must be
+    uncharged.  A stage is an immutable tuple, so :meth:`Tracer.add` can
+    build one in a single step once it has checked the values itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, resource: str, name: str, ns: float, latency: bool = True, charged: bool = True
+    ) -> "Stage":
+        _check_stage(resource, ns, charged)
+        return tuple.__new__(cls, (resource, name, ns, latency, charged))
+
+
+def _check_stage(resource: str, ns: float, charged: bool) -> None:
+    if not math.isfinite(ns):
+        raise ValueError(f"non-finite stage duration {ns}")
+    if ns < 0:
+        raise ValueError(f"negative stage duration {ns}")
+    if charged and resource == NAND:
+        raise ValueError(
+            "generic 'nand' stages are derived views and cannot be "
+            "charged; charge a specific 'channel:<i>' instead"
+        )
 
 
 @dataclass
@@ -111,34 +131,55 @@ class StageTrace:
     """Append-only per-request record of stages, with nested spans.
 
     A trace is a tree: layers that want their costs grouped open a
-    child span (``Tracer.span``) and record into it; sums recurse.
+    child span (``Tracer.span``) and record into it; views cover the
+    whole tree.
+
+    When :meth:`Tracer.end` closes a root trace it derives the three
+    views (latency, demand, anatomy) in one pass and keeps them;
+    :meth:`add` or :meth:`child` on it afterwards drops them again.
+    Spans and traces built by hand derive each view when asked.
     """
 
     name: str
     meta: dict[str, object] = field(default_factory=dict)
     stages: list[Stage] = field(default_factory=list)
     children: list["StageTrace"] = field(default_factory=list)
+    _views: "tuple[float, RequestDemand, dict[str, float]] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, stage: Stage) -> Stage:
+        self._views = None
         self.stages.append(stage)
         return stage
 
     def child(self, name: str, **meta: object) -> "StageTrace":
+        self._views = None
         span = StageTrace(name=name, meta=dict(meta))
         self.children.append(span)
         return span
 
     # --- traversal ----------------------------------------------------
     def walk(self) -> Iterator[Stage]:
-        """All stages of this trace and its spans, in recording order."""
-        yield from self.stages
-        for span in self.children:
-            yield from span.walk()
+        """All stages of this trace and its spans, pre-order.
+
+        A span's own stages come first, then each child span's subtree
+        in turn — *not* recording order when a parent records after a
+        child span closed.  Every view sums in this order.
+        """
+        pending = [self]
+        while pending:
+            span = pending.pop()
+            yield from span.stages
+            if span.children:
+                pending.extend(reversed(span.children))
 
     # --- derived views ------------------------------------------------
     def latency_ns(self) -> float:
         """QD-1 latency: the sum of the critical-path stages."""
-        return sum(stage.ns for stage in self.walk() if stage.latency)
+        if self._views is not None:
+            return self._views[0]
+        return sum([stage.ns for stage in self.walk() if stage.latency])
 
     def charges(self) -> dict[str, float]:
         """Ledger view: charged nanoseconds per resource tag."""
@@ -150,11 +191,7 @@ class StageTrace:
 
     def latency_by_name(self) -> dict[str, float]:
         """Critical-path nanoseconds per stage name (anatomy view)."""
-        totals: dict[str, float] = {}
-        for stage in self.walk():
-            if stage.latency:
-                totals[stage.name] = totals.get(stage.name, 0.0) + stage.ns
-        return totals
+        return dict((self._views or self._derive())[2])
 
     def demand(self) -> RequestDemand:
         """Project the trace onto the three-stage queueing model.
@@ -169,26 +206,42 @@ class StageTrace:
           most-loaded channel of the request.  Derived serial
           ``"nand"`` stages are excluded to avoid double counting.
         """
+        return (self._views or self._derive())[1]
+
+    def _derive(self) -> "tuple[float, RequestDemand, dict[str, float]]":
+        """Latency, demand and anatomy in one pre-order pass.
+
+        Each total accumulates in :meth:`walk` order, and the latency is
+        builtin ``sum()`` over the critical-path durations in that
+        order (compensated on CPython 3.12+), so the views are
+        bit-identical to summing each one on its own walk.
+        """
+        on_path: list[float] = []
+        by_name: dict[str, float] = {}
         host_ns = 0.0
         pcie_ns = 0.0
         per_channel: dict[int, float] = {}
-        for stage in self.walk():
-            if stage.resource == HOST:
-                host_ns += stage.ns
-            elif stage.resource == PCIE:
-                pcie_ns += stage.ns
-            elif stage.charged:
-                index = parse_channel(stage.resource)
+        for resource, name, ns, latency, charged in self.walk():
+            if latency:
+                on_path.append(ns)
+                by_name[name] = by_name.get(name, 0.0) + ns
+            if resource == HOST:
+                host_ns += ns
+            elif resource == PCIE:
+                pcie_ns += ns
+            elif charged:
+                index = parse_channel(resource)
                 if index is not None:
-                    per_channel[index] = per_channel.get(index, 0.0) + stage.ns
+                    per_channel[index] = per_channel.get(index, 0.0) + ns
         if per_channel:
             dominant = max(per_channel, key=per_channel.__getitem__)
             nand_ns = sum(per_channel.values())
         else:
             dominant, nand_ns = 0, 0.0
-        return RequestDemand(
+        demand = RequestDemand(
             host_ns=host_ns, nand_ns=nand_ns, channel=dominant, pcie_ns=pcie_ns
         )
+        return sum(on_path), demand, by_name
 
 
 def fold_charges(traces: Iterator[StageTrace] | list[StageTrace]) -> dict[str, float]:
@@ -261,6 +314,7 @@ class Tracer:
             raise sanitize.SanitizeError("Tracer.end() without a matching begin()")
         trace = self._stack.pop()
         if not self._stack:
+            trace._views = trace._derive()
             if sanitize.active():
                 sanitize.verify_root(self, trace)
             if self.retain:
@@ -304,11 +358,35 @@ class Tracer:
         latency: bool = True,
         charged: bool = True,
     ) -> Stage:
-        """Record one stage into the active trace and fold its charge."""
-        stage = Stage(resource, name, float(ns), latency, charged)
-        self.active.add(stage)
-        if charged and self.resources is not None:
-            self._fold(stage)
+        """Record one stage into the active trace and fold its charge.
+
+        The stage is checked, stored and folded here in one step: the
+        hot path builds no intermediate objects, and only a channel
+        stage makes calls (the memoised tag parse and the ledger's
+        range-checked :meth:`ResourceModel.channel`).
+        """
+        ns = float(ns)
+        if not 0.0 <= ns < math.inf or (charged and resource == NAND):
+            _check_stage(resource, ns, charged)
+        stage = tuple.__new__(Stage, (resource, name, ns, latency, charged))
+        stack = self._stack
+        (stack[-1] if stack else self.ambient).stages.append(stage)
+        resources = self.resources
+        if not charged or resources is None:
+            return stage
+        if resource == HOST:
+            resources.host_busy_ns += ns
+            self._folded_host += ns
+        elif resource == PCIE:
+            resources.pcie_busy_ns += ns
+            self._folded_pcie += ns
+        else:
+            index = parse_channel(resource)
+            if index is None:
+                raise ValueError(f"cannot charge unknown resource {resource!r}")
+            resources.channel(index, ns)
+            folded = self._folded_channels
+            folded[index] = folded.get(index, 0.0) + ns
         return stage
 
     def host(self, name: str, ns: float, *, latency: bool = True, charged: bool = True) -> Stage:
@@ -326,23 +404,6 @@ class Tracer:
     def serial_nand(self, name: str, ns: float) -> Stage:
         """Record the derived serial (QD-1) array phase of a request."""
         return self.add(NAND, name, ns, latency=True, charged=False)
-
-    def _fold(self, stage: Stage) -> None:
-        resources = self.resources
-        assert resources is not None
-        if stage.resource == HOST:
-            resources.host(stage.ns)
-            self._folded_host += stage.ns
-            return
-        if stage.resource == PCIE:
-            resources.pcie(stage.ns)
-            self._folded_pcie += stage.ns
-            return
-        index = parse_channel(stage.resource)
-        if index is None:
-            raise ValueError(f"cannot charge unknown resource {stage.resource!r}")
-        resources.channel(index, stage.ns)
-        self._folded_channels[index] = self._folded_channels.get(index, 0.0) + stage.ns
 
 
 __all__ = [
