@@ -6,73 +6,40 @@ but every read still goes to flash: only the demanded bytes cross the
 link (traffic = requested bytes), and latency is the full NAND round
 trip.  The gap between this system and full Pipette isolates the value
 of the fine-grained read cache in the paper's figures.
+
+It shares 2B-SSD's uncached byte path and differs in three places: the
+host records the fine-grained miss work before sensing, sensed pages
+stay in the device read buffer instead of the CMB, and the bytes are
+DMAed over the persistent mapping.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.baselines._direct_write import direct_write
+from repro.baselines.two_b_ssd import UncachedBytePathSystem
 from repro.config import SimConfig
-from repro.kernel.vfs import OpenFile
-from repro.system import StorageSystem, register_system
+from repro.system import register_system
 
 
 @register_system
-class PipetteNoCacheSystem(StorageSystem):
+class PipetteNoCacheSystem(UncachedBytePathSystem):
     """Pipette's byte path with caching disabled."""
 
     NAME = "pipette-nocache"
+    #: The device DMAs the bytes straight from its read buffer.
+    STAGE_IN_CMB = False
 
     def __init__(self, config: SimConfig) -> None:
         super().__init__(config)
         # HMB feature negotiation: persistent mapping, off the read path.
         self.device.enable_hmb()
 
-    def _read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
-        timing = self.config.timing
-        device = self.device
-        tracer = device.tracer
-        inode = entry.inode
+    def _host_stages(self) -> None:
+        super()._host_stages()
+        self.device.tracer.host("fine_miss_host", self.config.timing.fine_miss_host_ns)
 
-        tracer.host("fine_stack", timing.fine_stack_ns)
-        tracer.host("fine_miss_host", timing.fine_miss_host_ns)
-
-        ranges = self.fs.extract_ranges(inode, offset, size)
-        chunks: list[bytes] = []
-        nand_ns_each: list[float] = []
-        for piece in ranges:
-            pages = -(-(piece.offset_in_page + piece.length) // self.fs.page_size)
-            staged: list[bytes | None] = []
-            for page_offset in range(pages):
-                content, nand_ns = device.controller.sense_page(piece.lba + page_offset)
-                staged.append(content)
-                nand_ns_each.append(nand_ns)
-            if self.config.transfer_data:
-                joined = b"".join(page or b"" for page in staged)
-                chunks.append(joined[piece.offset_in_page : piece.offset_in_page + piece.length])
-        if nand_ns_each:
-            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
-            tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
-
-        device.link.dma_to_host(tracer, size)
-        tracer.host("completion", timing.completion_ns)
-
-        data = b"".join(chunks) if self.config.transfer_data else None
-        if data is not None and len(data) != size:
-            raise RuntimeError(f"byte path returned {len(data)} of {size} bytes")
-        return data
-
-    def _write(self, entry: OpenFile, offset: int, data: bytes) -> None:
-        direct_write(self.device, self.fs, entry.inode, offset, data)
-
-    def cache_stats(self) -> dict[str, float]:
-        return {
-            "page_cache_hit_ratio": 0.0,
-            "page_cache_usage_bytes": 0.0,
-            "fgrc_hit_ratio": 0.0,
-            "fgrc_usage_bytes": 0.0,
-        }
+    def _host_pull(self, size: int) -> None:
+        # Over the persistent HMB mapping: no per-access setup cost.
+        self.device.link.dma_to_host(self.device.tracer, size)
 
 
 __all__ = ["PipetteNoCacheSystem"]

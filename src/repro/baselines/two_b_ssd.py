@@ -15,11 +15,11 @@ Reads are served through the byte-addressable CMB interface:
 There is *no host-side caching* in either mode (paper section 2.2), so
 every access pays the full device round trip, but only demanded bytes
 cross the link (I/O traffic = requested bytes exactly — Tables 2/3).
+:class:`UncachedBytePathSystem` is that uncached byte path; Pipette
+w/o cache (:mod:`repro.baselines.pipette_nocache`) is one more subclass.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.baselines._direct_write import direct_write
 from repro.config import SimConfig
@@ -27,51 +27,60 @@ from repro.kernel.vfs import OpenFile
 from repro.system import StorageSystem, register_system
 
 
-class _TwoBSSDBase(StorageSystem):
-    """Shared CMB staging logic of both 2B-SSD modes."""
+class UncachedBytePathSystem(StorageSystem):
+    """Byte-granular reads with no host cache: every read senses flash.
+
+    Subclasses choose the host stages recorded before sensing, whether
+    sensed pages land in the CMB, and how the demanded bytes reach the
+    host (``_host_pull``).  Writes go straight through to the device.
+    """
+
+    #: Land sensed pages in the CMB for the host to pull from.
+    STAGE_IN_CMB = True
 
     def __init__(self, config: SimConfig) -> None:
         super().__init__(config)
+        #: Flash pages sensed for byte reads.
         self.pages_staged = 0
 
     def _read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
         timing = self.config.timing
         device = self.device
-        tracer = device.tracer
-        inode = entry.inode
 
-        tracer.host("fine_stack", timing.fine_stack_ns)
-
-        ranges = self.fs.extract_ranges(inode, offset, size)
-        # Stage every needed page in the CMB (device-internal path);
-        # each sense records its channel occupancy in the trace.
-        chunks: list[bytes] = []
+        self._host_stages()
+        # Each sense records its channel occupancy in the trace.
+        chunks: list[bytes | None] = []
         nand_ns_each: list[float] = []
-        for piece in ranges:
-            pages = -(-(piece.offset_in_page + piece.length) // self.fs.page_size)
-            staged: list[bytes | None] = []
-            for page_offset in range(pages):
-                _, content, nand_ns = device.stage_for_byte_access(piece.lba + page_offset)
-                staged.append(content)
-                nand_ns_each.append(nand_ns)
-                self.pages_staged += 1
-            if self.config.transfer_data:
-                joined = b"".join(page or b"" for page in staged)
-                chunks.append(joined[piece.offset_in_page : piece.offset_in_page + piece.length])
-        if nand_ns_each:
-            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
-            tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
+        sensed: dict[int, bytes | None] = {}
+        for piece in self.fs.extract_ranges(entry.inode, offset, size):
+            chunk, _ = device.read_piece(
+                piece.lba,
+                piece.offset_in_page,
+                piece.length,
+                sensed,
+                nand_ns_each,
+                stage_in_cmb=self.STAGE_IN_CMB,
+            )
+            chunks.append(chunk)
+        self.pages_staged += len(sensed)
+        device.record_array_phase(nand_ns_each)
 
         self._host_pull(size)
-        tracer.host("completion", timing.completion_ns)
+        device.tracer.host("completion", timing.completion_ns)
 
-        data = b"".join(chunks) if self.config.transfer_data else None
-        if data is not None and len(data) != size:
-            raise RuntimeError(f"2B-SSD returned {len(data)} of {size} bytes")
+        if not self.config.transfer_data:
+            return None
+        data = b"".join(chunks)
+        if len(data) != size:
+            raise RuntimeError(f"{self.NAME} returned {len(data)} of {size} bytes")
         return data
 
+    def _host_stages(self) -> None:
+        """Host work recorded before the device senses flash."""
+        self.device.tracer.host("fine_stack", self.config.timing.fine_stack_ns)
+
     def _host_pull(self, size: int) -> None:
-        """Mode-specific transfer of demanded bytes out of the CMB."""
+        """Mode-specific transfer of the demanded bytes to the host."""
         raise NotImplementedError
 
     def _write(self, entry: OpenFile, offset: int, data: bytes) -> None:
@@ -87,7 +96,7 @@ class _TwoBSSDBase(StorageSystem):
 
 
 @register_system
-class TwoBSSDMmioSystem(_TwoBSSDBase):
+class TwoBSSDMmioSystem(UncachedBytePathSystem):
     """2B-SSD reading the CMB through MMIO loads."""
 
     NAME = "2b-ssd-mmio"
@@ -101,7 +110,7 @@ class TwoBSSDMmioSystem(_TwoBSSDBase):
 
 
 @register_system
-class TwoBSSDDmaSystem(_TwoBSSDBase):
+class TwoBSSDDmaSystem(UncachedBytePathSystem):
     """2B-SSD pulling from the CMB with a per-access DMA mapping."""
 
     NAME = "2b-ssd-dma"
@@ -111,4 +120,4 @@ class TwoBSSDDmaSystem(_TwoBSSDBase):
         self.device.dma.pull_per_access(self.device.tracer, size)
 
 
-__all__ = ["TwoBSSDDmaSystem", "TwoBSSDMmioSystem"]
+__all__ = ["TwoBSSDDmaSystem", "TwoBSSDMmioSystem", "UncachedBytePathSystem"]

@@ -51,13 +51,8 @@ class SSDSpec:
     mapping_region_bytes: int = 64 * MIB
     max_ddr_bytes: int = 4 * GIB
     capacity_bytes: int = 477_000_000_000
+    #: Controller read-buffer pages; also the size of the CMB.
     read_buffer_pages: int = 64
-    #: Serve repeated page senses from the controller read buffer
-    #: without re-reading NAND.  Off by default: the paper's latency
-    #: model (Fig. 8) shows no device-side caching effect, so the
-    #: calibrated reproduction keeps the array on every read; enable to
-    #: study the interaction (see the device read-buffer ablation).
-    read_buffer_hits: bool = False
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size % 512:
@@ -358,9 +353,6 @@ class PipetteConfig:
 
     #: Reads strictly smaller than this go down the byte-granular path.
     dispatch_threshold_bytes: int = 4096
-    #: Whether the fine-grained read cache is enabled (False reproduces
-    #: the paper's "Pipette w/o cache" configuration).
-    cache_enabled: bool = True
     #: Whether the adaptive promotion threshold is active; when False
     #: every missed fine-grained read is admitted to the cache.
     adaptive_caching: bool = True

@@ -17,15 +17,11 @@ traffic savings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.config import SimConfig
 from repro.core.read_cache.info_area import InfoArea
-from repro.ssd.controller import SSDController
-from repro.ssd.hmb import HostMemoryBuffer
+from repro.ssd.device import SSDDevice
 from repro.ssd.nvme import NvmeCommand, NvmeCompletion
-from repro.ssd.pcie import PcieLink
 
 
 @dataclass
@@ -36,66 +32,40 @@ class EngineResult:
     transfer_ns: float
     bytes_moved: int
 
-    def qd1_nand_ns(self, channels: int) -> float:
-        """Array phase latency with cross-channel overlap."""
-        if not self.nand_ns_each:
-            return 0.0
-        rounds = math.ceil(len(self.nand_ns_each) / channels)
-        return rounds * max(self.nand_ns_each)
-
 
 class FineGrainedReadEngine:
     """Firmware extension executing reconstructed fine-grained reads."""
 
-    def __init__(
-        self,
-        config: SimConfig,
-        controller: SSDController,
-        link: PcieLink,
-        hmb: HostMemoryBuffer,
-        info_area: InfoArea,
-    ) -> None:
-        self.config = config
-        self.controller = controller
-        self.link = link
-        self.hmb = hmb
+    def __init__(self, device: SSDDevice, info_area: InfoArea) -> None:
+        self.device = device
         self.info_area = info_area
         self.commands_handled = 0
         self.ranges_served = 0
 
     def handle(self, command: NvmeCommand) -> NvmeCompletion:
         """Execute one ``FINE_GRAINED_READ`` command."""
-        with self.controller.tracer.span("device.fine_read", ranges=len(command.ranges)):
+        with self.device.tracer.span("device.fine_read", ranges=len(command.ranges)):
             return self._handle_traced(command)
 
     def _handle_traced(self, command: NvmeCommand) -> NvmeCompletion:
-        page_size = self.config.ssd.page_size
-        tracer = self.controller.tracer
+        device = self.device
         nand_ns_each: list[float] = []
         transfer_ns = 0.0
         bytes_moved = 0
         #: Pages already sensed by *this* command (the read buffer holds
-        #: them for the command's duration): each flash page pays tR once
-        #: however many ranges of the request it serves.
+        #: them for the command's duration).
         sensed: dict[int, bytes | None] = {}
 
-        placement = self.controller.placement
+        placement = device.placement
         for fine_range in command.ranges:
             # Phase 1: load NAND pages into the read buffer.
-            span = fine_range.offset_in_page + fine_range.length
-            pages = -(-span // page_size)
-            staged: list[bytes | None] = []
-            range_ppns: list[int] = []
-            for page_offset in range(pages):
-                lba = fine_range.lba + page_offset
-                range_ppns.append(self.controller.ftl.translate(lba))
-                if lba in sensed:
-                    staged.append(sensed[lba])
-                    continue
-                content, nand_ns = self.controller.sense_page(lba)
-                sensed[lba] = content
-                staged.append(content)
-                nand_ns_each.append(nand_ns)
+            payload, range_ppns = device.read_piece(
+                fine_range.lba,
+                fine_range.offset_in_page,
+                fine_range.length,
+                sensed,
+                nand_ns_each,
+            )
 
             # Phase 2: consume the Info record assigned by the host.
             record = self.info_area.consume()
@@ -109,32 +79,23 @@ class FineGrainedReadEngine:
             # against it — on an FDP backend this is the per-handle
             # flash-footprint segregation.
             handle = placement.pop_destination(record.dest_addr)
-            placement.record_read(
-                handle, fine_range.length, pages=tuple(range_ppns)
-            )
+            placement.record_read(handle, fine_range.length, pages=range_ppns)
 
-            # Phase 3: extract the range and DMA it to its destination.
-            if self.config.transfer_data:
-                joined = b"".join(page or b"" for page in staged)
-                payload = joined[
-                    fine_range.offset_in_page : fine_range.offset_in_page + fine_range.length
-                ]
-                self.hmb.write(record.dest_addr, payload)
-            piece_ns = self.link.dma_to_host(tracer, fine_range.length)
-            transfer_ns += piece_ns
+            # Phase 3: DMA the extracted range to its destination.
+            if payload is not None:
+                device.hmb.write(record.dest_addr, payload)
+            transfer_ns += device.link.dma_to_host(device.tracer, fine_range.length)
             bytes_moved += fine_range.length
             self.ranges_served += 1
 
-        result = EngineResult(
-            nand_ns_each=nand_ns_each, transfer_ns=transfer_ns, bytes_moved=bytes_moved
-        )
-        # Derived serial array phase on top of the per-page channel
-        # charges ``sense_page`` recorded during Phase 1.
-        array_ns = result.qd1_nand_ns(self.config.ssd.channels)
-        if array_ns:
-            tracer.serial_nand("nand_array", array_ns)
+        device.record_array_phase(nand_ns_each)
         self.commands_handled += 1
-        return NvmeCompletion(cid=command.cid, result=result)
+        return NvmeCompletion(
+            cid=command.cid,
+            result=EngineResult(
+                nand_ns_each=nand_ns_each, transfer_ns=transfer_ns, bytes_moved=bytes_moved
+            ),
+        )
 
 
 __all__ = ["EngineResult", "FineGrainedReadEngine"]

@@ -68,13 +68,7 @@ class PipetteSystem(StorageSystem):
         self.dispatcher = ReadDispatcher(threshold_bytes=config.pipette.dispatch_threshold_bytes)
         self.constructor = FineGrainedConstructor(fs=self.fs, info_area=self.cache.info_area)
         self.requester = Requester(device=self.device)
-        self.engine = FineGrainedReadEngine(
-            config=config,
-            controller=self.device.controller,
-            link=self.device.link,
-            hmb=self.device.hmb,
-            info_area=self.cache.info_area,
-        )
+        self.engine = FineGrainedReadEngine(self.device, self.cache.info_area)
         self.device.install_fine_read_engine(self.engine)
         #: Reads served straight from the page cache on the fine path.
         self.fine_page_cache_hits = 0

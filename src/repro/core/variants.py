@@ -12,8 +12,6 @@ against ``pipette`` isolates the value of the persistent HMB mapping.
 
 from __future__ import annotations
 
-import math
-
 from repro.system import register_system
 
 from repro.core.framework import PipetteSystem
@@ -40,30 +38,25 @@ class PipetteCmbSystem(PipetteSystem):
         requests = [(offset, size, dest_addr)] + list(prefetch or [])
 
         nand_ns_each: list[float] = []
-        staged_pages: dict[int, bytes | None] = {}
+        # Device side: stage each needed page in the CMB once per
+        # command (like the Read Engine's buffer).
+        sensed: dict[int, bytes | None] = {}
         total_bytes = 0
         placement = device.placement
         for request_offset, request_size, request_dest in requests:
-            # Device side: stage each needed page in the CMB once per
-            # command (like the Read Engine's buffer).
-            chunks: list[bytes] = []
+            chunks: list[bytes | None] = []
             request_ppns: list[int] = []
             for piece in self.fs.extract_ranges(inode, request_offset, request_size):
-                pages = -(-(piece.offset_in_page + piece.length) // self.fs.page_size)
-                page_contents: list[bytes | None] = []
-                for page_offset in range(pages):
-                    lba = piece.lba + page_offset
-                    request_ppns.append(device.ftl.translate(lba))
-                    if lba not in staged_pages:
-                        _, content, nand_ns = device.stage_for_byte_access(lba)
-                        staged_pages[lba] = content
-                        nand_ns_each.append(nand_ns)
-                    page_contents.append(staged_pages[lba])
-                if self.config.transfer_data:
-                    joined = b"".join(page or b"" for page in page_contents)
-                    chunks.append(
-                        joined[piece.offset_in_page : piece.offset_in_page + piece.length]
-                    )
+                chunk, ppns = device.read_piece(
+                    piece.lba,
+                    piece.offset_in_page,
+                    piece.length,
+                    sensed,
+                    nand_ns_each,
+                    stage_in_cmb=True,
+                )
+                chunks.append(chunk)
+                request_ppns.extend(ppns)
             if self.config.transfer_data:
                 device.hmb.write(request_dest, b"".join(chunks))
             # This variant bypasses the Read Engine, so it resolves the
@@ -72,16 +65,12 @@ class PipetteCmbSystem(PipetteSystem):
             handle = placement.pop_destination(request_dest)
             placement.record_read(handle, request_size, pages=tuple(request_ppns))
             total_bytes += request_size
-        if nand_ns_each:
-            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
-            tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
+        device.record_array_phase(nand_ns_each)
 
         # Host side: per-access DMA mapping (the cost HMB avoids), pull
         # the demanded bytes over the link, land them in the cache.
         device.dma.pull_per_access(tracer, total_bytes)
-
-        if self.config.transfer_data:
-            tracer.host("dram_copy", timing.dram_copy_ns(total_bytes))
+        tracer.host("dram_copy", timing.dram_copy_ns(total_bytes))
 
 
 __all__ = ["PipetteCmbSystem"]

@@ -22,13 +22,20 @@ from __future__ import annotations
 import abc
 import itertools
 import random
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.serve.engine import EventLoop
 from repro.workloads.trace import Op, Trace
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serve.server import TenantSpec
+
 #: Submission hook bound by the server: ``submit(op)``.
 SubmitFn = Callable[[Op], None]
+
+#: Client modes accepted by :class:`repro.serve.server.TenantSpec`.
+CLOSED = "closed"
+OPEN = "open"
 
 
 class Client(abc.ABC):
@@ -147,4 +154,33 @@ class OpenLoopClient(Client):
         self._loop.schedule(self._interarrival_ns(), self._arrive)
 
 
-__all__ = ["Client", "ClosedLoopClient", "OpenLoopClient", "SubmitFn"]
+def build_client(spec: "TenantSpec", index: int, seed: int) -> Client:
+    """The client for tenant ``index`` of a run seeded with ``seed``.
+
+    Each open-loop tenant gets a distinct, deterministic arrival stream;
+    the single server and the cluster router derive it the same way.
+    """
+    if spec.mode == CLOSED:
+        return ClosedLoopClient(
+            spec.trace,
+            concurrency=spec.concurrency,
+            think_ns=spec.think_ns,
+            max_ops=spec.max_ops,
+        )
+    return OpenLoopClient(
+        spec.trace,
+        rate_qps=spec.rate_qps,
+        seed=seed * 1_000_003 + index,
+        max_ops=spec.max_ops,
+    )
+
+
+__all__ = [
+    "CLOSED",
+    "Client",
+    "ClosedLoopClient",
+    "OPEN",
+    "OpenLoopClient",
+    "SubmitFn",
+    "build_client",
+]

@@ -44,16 +44,6 @@ class ResourceModel:
             raise ValueError("channel_busy_ns length does not match channels")
 
     # --- accumulation -------------------------------------------------
-    def host(self, ns: float) -> float:
-        """Charge host CPU time; returns the charged amount."""
-        self.host_busy_ns += ns
-        return ns
-
-    def pcie(self, ns: float) -> float:
-        """Charge PCIe link time; returns the charged amount."""
-        self.pcie_busy_ns += ns
-        return ns
-
     def channel(self, channel_index: int, ns: float) -> float:
         """Charge NAND time on a specific flash channel.
 
@@ -65,12 +55,6 @@ class ResourceModel:
                 f"channel index {channel_index} out of range [0, {self.channels})"
             )
         self.channel_busy_ns[channel_index] += ns
-        return ns
-
-    def any_channel(self, ns: float) -> float:
-        """Charge NAND time on the least-loaded channel (striped work)."""
-        index = min(range(self.channels), key=self.channel_busy_ns.__getitem__)
-        self.channel_busy_ns[index] += ns
         return ns
 
     # --- derived views ------------------------------------------------
@@ -101,24 +85,6 @@ class ResourceModel:
             "nand": self.nand_busy_ns,
         }
         return max(candidates, key=candidates.__getitem__)
-
-    def merged_with(self, other: "ResourceModel") -> "ResourceModel":
-        """Combine two ledgers (used when aggregating phases)."""
-        if other.channels != self.channels:
-            raise ValueError("cannot merge ledgers with different channel counts")
-        merged = ResourceModel(channels=self.channels, host_parallelism=self.host_parallelism)
-        merged.host_busy_ns = self.host_busy_ns + other.host_busy_ns
-        merged.pcie_busy_ns = self.pcie_busy_ns + other.pcie_busy_ns
-        merged.channel_busy_ns = [
-            a + b for a, b in zip(self.channel_busy_ns, other.channel_busy_ns)
-        ]
-        return merged
-
-    def reset(self) -> None:
-        """Zero every accumulator."""
-        self.host_busy_ns = 0.0
-        self.pcie_busy_ns = 0.0
-        self.channel_busy_ns = [0.0] * self.channels
 
 
 __all__ = ["ResourceModel"]

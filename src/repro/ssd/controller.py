@@ -1,9 +1,9 @@
-"""SSD controller: read buffer, NAND scheduling, command execution.
+"""SSD controller: NAND scheduling and command execution.
 
 The controller owns the primitives every read path composes:
 
-- ``sense_page``: translate an LBA, occupy the owning flash channel for
-  tR plus the ONFI bus transfer, and land the page in the read buffer;
+- ``sense_page``: translate an LBA and occupy the owning flash channel
+  for tR plus the ONFI bus transfer;
 - ``block_page_extra_ns``: the device-side serialization penalty paid
   only by full-page block reads (see DESIGN.md section 5);
 - ``execute``: the NVMe dispatch used by the queue pair.
@@ -15,7 +15,7 @@ a firmware extension and handles ``FINE_GRAINED_READ`` commands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.config import SimConfig
 from repro.sim.resources import ResourceModel
@@ -33,12 +33,6 @@ class FirmwareExtension(Protocol):
 
 
 @dataclass
-class ReadBufferSlot:
-    lba: int
-    content: bytes | None
-
-
-@dataclass
 class SSDController:
     """Device-side execution engine."""
 
@@ -52,14 +46,10 @@ class SSDController:
     #: Backend placement policy; writes are tagged with its handles
     #: (conventional stream unless an FDP-style backend segregates).
     placement: BufferPlacement | None = None
-    read_buffer: list[ReadBufferSlot] = field(default_factory=list)
     _extensions: dict[NvmeOpcode, FirmwareExtension] = field(default_factory=dict)
     pages_sensed: int = 0
-    read_buffer_hits: int = 0
     #: Extra read attempts caused by injected transient faults.
     read_retries: int = 0
-    #: Optional hook invoked after each page sense (diagnostics).
-    on_sense: Callable[[int], None] | None = None
 
     def __post_init__(self) -> None:
         if self.tracer is None:
@@ -68,38 +58,26 @@ class SSDController:
             self.placement = BufferPlacement()
 
     # --- primitives -----------------------------------------------------
-    def sense_page(self, lba: int, *, with_data: bool | None = None) -> tuple[bytes | None, float]:
-        """Read one logical page from NAND into the read buffer.
+    def sense_page(self, lba: int) -> tuple[bytes | None, float]:
+        """Read one logical page from NAND.
 
         Returns ``(content, nand_ns)`` where ``nand_ns`` is the array
-        occupancy charged to the page's channel (tR + bus transfer).
+        occupancy charged to the page's channel (tR + bus transfer);
+        ``content`` is ``None`` when payloads are not stored.
         """
-        if with_data is None:
-            with_data = self.config.transfer_data
         ppn = self.ftl.translate(lba)
-        if self.config.ssd.read_buffer_hits:
-            for slot in reversed(self.read_buffer):
-                if slot.lba == lba:
-                    # Buffer hit: only the channel bus transfer, no tR.
-                    bus_ns = self.config.timing.channel_xfer_page_ns
-                    self.tracer.channel(self.nand.channel_of(ppn), "nand_bus", bus_ns)
-                    self.read_buffer_hits += 1
-                    return slot.content, float(bus_ns)
         attempts = 1
         if self.config.faults.enabled:
             # May raise NandReadError after exhausting retries.
             attempts = self.config.faults.attempts_needed(ppn)
             self.read_retries += attempts - 1
-        content = self.nand.read_page(ppn, with_data=with_data)
+        content = self.nand.read_page(ppn, with_data=self.config.transfer_data)
         nand_ns = (
             attempts * self.nand.read_latency_ns()
             + self.config.timing.channel_xfer_page_ns
         )
         self.tracer.channel(self.nand.channel_of(ppn), "tR", nand_ns)
-        self._buffer_insert(lba, content)
         self.pages_sensed += 1
-        if self.on_sense is not None:
-            self.on_sense(lba)
         return content, nand_ns
 
     def block_page_extra_ns(self) -> float:
@@ -122,16 +100,7 @@ class SSDController:
         self.placement.record_write(
             self.placement.block_handle, self.config.ssd.page_size, ppn=ppn_after
         )
-        self._buffer_invalidate(lba)
         return nand_ns
-
-    def _buffer_insert(self, lba: int, content: bytes | None) -> None:
-        self.read_buffer.append(ReadBufferSlot(lba, content))
-        if len(self.read_buffer) > self.config.ssd.read_buffer_pages:
-            self.read_buffer.pop(0)
-
-    def _buffer_invalidate(self, lba: int) -> None:
-        self.read_buffer = [slot for slot in self.read_buffer if slot.lba != lba]
 
     # --- firmware extensions ---------------------------------------------
     def install_extension(self, opcode: NvmeOpcode, extension: FirmwareExtension) -> None:
@@ -177,4 +146,4 @@ class SSDController:
         return NvmeCompletion(cid=command.cid, result=nand_ns_total)
 
 
-__all__ = ["FirmwareExtension", "ReadBufferSlot", "SSDController"]
+__all__ = ["FirmwareExtension", "SSDController"]

@@ -2,13 +2,17 @@
 
 ``SSDDevice`` wires the NAND array, FTL, controller, PCIe link, DMA and
 MMIO models, CMB and HMB regions, and an NVMe queue pair together, and
-offers the three read paths the paper compares:
+offers the flash reads the paper compares:
 
 - :meth:`block_read` -- the conventional page-granular path (used by
   Block I/O and by Pipette's coarse-grained dispatch);
-- :meth:`stage_for_byte_access` -- CMB staging for 2B-SSD MMIO/DMA;
-- ``FINE_GRAINED_READ`` NVMe commands handled by the installed Read
-  Engine (see :mod:`repro.core.engine`) for Pipette's byte path.
+- :meth:`read_piece` -- the byte path's one sensing routine: sense the
+  pages a byte range touches once per command (landing them in the
+  CMB for 2B-SSD and pipette-cmb) and cut out the demanded bytes.  The
+  Read Engine (see :mod:`repro.core.engine`), which handles Pipette's
+  ``FINE_GRAINED_READ`` NVMe commands, uses it too;
+- :meth:`record_array_phase` -- the one QD-1 array-phase rule every
+  read path records once per command.
 
 Timing contract: device methods record :class:`repro.sim.trace.Stage`
 entries into the active request's :class:`StageTrace` (opening a child
@@ -167,12 +171,7 @@ class SSDDevice:
                     per_page_ns.append(nand_ns_each[index])
 
             if per_page_ns:
-                # QD-1 latency: pages on distinct channels overlap, so the
-                # array phase takes ceil(n/channels) serial page times —
-                # a derived stage on top of the per-page channel charges
-                # the controller already recorded.
-                rounds = math.ceil(len(per_page_ns) / self.config.ssd.channels)
-                self.tracer.serial_nand("nand_array", rounds * max(per_page_ns))
+                self.record_array_phase(per_page_ns)
                 self.link.dma_to_host(self.tracer, page_size * len(per_page_ns))
                 # Interrupt/completion handling extends QD-1 latency but
                 # overlaps other requests' work under pipelining.
@@ -213,15 +212,52 @@ class SSDDevice:
                 )
         return span.latency_ns()
 
-    # --- 2B-SSD style byte access ---------------------------------------------
-    def stage_for_byte_access(self, lba: int) -> tuple[int, bytes | None, float]:
-        """Sense one page into the CMB for MMIO/DMA byte access.
+    # --- byte-path flash reads ------------------------------------------------
+    def read_piece(
+        self,
+        lba: int,
+        offset_in_page: int,
+        length: int,
+        sensed: dict[int, bytes | None],
+        nand_ns_each: list[float],
+        *,
+        stage_in_cmb: bool = False,
+    ) -> tuple[bytes | None, tuple[int, ...]]:
+        """Sense the pages one byte range touches; cut out its bytes.
 
-        Returns ``(cmb_addr, page_content, device_ns)``.
+        ``sensed`` maps the LBAs this command already sensed to their
+        contents, so a page pays tR once however many ranges it serves;
+        each newly sensed page's array time is appended to
+        ``nand_ns_each`` for :meth:`record_array_phase`.  With
+        ``stage_in_cmb`` newly sensed pages also land in the CMB, where
+        2B-SSD and pipette-cmb pull bytes from.  Returns the range's
+        bytes (``None`` when payloads are not stored) and the physical
+        pages it touches.
         """
-        content, nand_ns = self.controller.sense_page(lba)
-        addr = self.cmb.stage_page(self.ftl.translate(lba), content)
-        return addr, content, nand_ns
+        pages = range(lba, lba + -(-(offset_in_page + length) // self.config.ssd.page_size))
+        ppns = tuple(self.ftl.translate(page) for page in pages)
+        for page, ppn in zip(pages, ppns):
+            if page not in sensed:
+                content, nand_ns = self.controller.sense_page(page)
+                if stage_in_cmb:
+                    self.cmb.stage_page(ppn, content)
+                sensed[page] = content
+                nand_ns_each.append(nand_ns)
+        if not self.config.transfer_data:
+            return None, ppns
+        joined = b"".join(sensed[page] or b"" for page in pages)
+        return joined[offset_in_page : offset_in_page + length], ppns
+
+    def record_array_phase(self, nand_ns_each: list[float]) -> None:
+        """Record one command's QD-1 array phase.
+
+        Pages on distinct channels overlap, so the array phase takes
+        ``ceil(n / channels)`` serial page times — a derived stage on
+        top of the per-page channel charges the senses already recorded.
+        """
+        if nand_ns_each:
+            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
+            self.tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
 
     # --- NVMe command submission ----------------------------------------------
     def submit(self, command: NvmeCommand):

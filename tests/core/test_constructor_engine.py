@@ -22,13 +22,7 @@ def rig():
     fs = ExtentFileSystem(total_pages=spec.total_pages, page_size=spec.page_size)
     info = InfoArea(capacity=64)
     constructor = FineGrainedConstructor(fs=fs, info_area=info)
-    engine = FineGrainedReadEngine(
-        config=config,
-        controller=device.controller,
-        link=device.link,
-        hmb=device.hmb,
-        info_area=info,
-    )
+    engine = FineGrainedReadEngine(device, info)
     device.install_fine_read_engine(engine)
     requester = Requester(device=device)
     inode = fs.create("/f", MIB)
@@ -91,12 +85,19 @@ def test_engine_rejects_mismatched_info_record(rig):
     assert not completion.success
 
 
-def test_engine_qd1_nand_overlap():
-    result = EngineResult(nand_ns_each=[60.0] * 8, transfer_ns=0.0, bytes_moved=0)
-    assert result.qd1_nand_ns(channels=8) == 60.0
-    wider = EngineResult(nand_ns_each=[60.0] * 9, transfer_ns=0.0, bytes_moved=0)
-    assert wider.qd1_nand_ns(channels=8) == 120.0
-    assert EngineResult([], 0.0, 0).qd1_nand_ns(8) == 0.0
+def test_engine_qd1_nand_overlap(rig):
+    _, device, _, _, _, _, _, _ = rig
+    assert device.config.ssd.channels == 8
+
+    def array_phase(nand_ns_each):
+        device.tracer.begin("read")
+        device.record_array_phase(nand_ns_each)
+        return device.tracer.end().latency_ns()
+
+    assert array_phase([60.0] * 8) == 60.0
+    assert array_phase([60.0] * 9) == 120.0
+    assert array_phase([60.0, 90.0]) == 90.0
+    assert array_phase([]) == 0.0
 
 
 def test_requester_counts_submissions(rig):

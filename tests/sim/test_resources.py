@@ -3,13 +3,15 @@
 import pytest
 
 from repro.sim.resources import ResourceModel
+from repro.sim.trace import Tracer
 
 
 def test_host_and_pcie_accumulate():
     model = ResourceModel(channels=2)
-    model.host(10.0)
-    model.host(5.0)
-    model.pcie(7.0)
+    tracer = Tracer(model)
+    tracer.host("work", 10.0)
+    tracer.host("work", 5.0)
+    tracer.pcie("xfer", 7.0)
     assert model.host_busy_ns == 15.0
     assert model.pcie_busy_ns == 7.0
 
@@ -32,55 +34,19 @@ def test_nand_busy_is_max_channel():
     assert model.nand_total_ns == 13.0
 
 
-def test_any_channel_picks_least_loaded():
-    model = ResourceModel(channels=2)
-    model.channel(0, 10.0)
-    model.any_channel(3.0)
-    assert model.channel_busy_ns == [10.0, 3.0]
-
-
 def test_bottleneck_is_busiest_resource():
-    model = ResourceModel(channels=2)
-    model.host(100.0)
-    model.pcie(50.0)
+    model = ResourceModel(channels=2, host_busy_ns=100.0, pcie_busy_ns=50.0)
     model.channel(0, 80.0)
     assert model.bottleneck_time_ns() == 100.0
     assert model.bottleneck_resource() == "host"
 
 
 def test_host_parallelism_divides_host_time():
-    model = ResourceModel(channels=2, host_parallelism=4)
-    model.host(100.0)
+    model = ResourceModel(channels=2, host_parallelism=4, host_busy_ns=100.0)
     model.channel(0, 50.0)
     assert model.host_effective_ns == 25.0
     assert model.bottleneck_time_ns() == 50.0
     assert model.bottleneck_resource() == "nand"
-
-
-def test_merge_adds_componentwise():
-    a = ResourceModel(channels=2)
-    b = ResourceModel(channels=2)
-    a.host(1.0)
-    b.host(2.0)
-    a.channel(0, 3.0)
-    b.channel(1, 4.0)
-    merged = a.merged_with(b)
-    assert merged.host_busy_ns == 3.0
-    assert merged.channel_busy_ns == [3.0, 4.0]
-
-
-def test_merge_channel_mismatch_rejected():
-    with pytest.raises(ValueError):
-        ResourceModel(channels=2).merged_with(ResourceModel(channels=4))
-
-
-def test_reset_zeroes_everything():
-    model = ResourceModel(channels=2)
-    model.host(1.0)
-    model.pcie(1.0)
-    model.channel(0, 1.0)
-    model.reset()
-    assert model.bottleneck_time_ns() == 0.0
 
 
 def test_invalid_construction():

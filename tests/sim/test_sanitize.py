@@ -56,7 +56,7 @@ def test_ledger_bypass_detected() -> None:
     tracer = Tracer(resources)
     tracer.begin("read")
     tracer.host("work", 10.0)
-    resources.host(5.0)  # charged behind the traces' back
+    resources.host_busy_ns += 5.0  # charged behind the traces' back
     with SimSanitizer():
         with pytest.raises(SanitizeError, match="ledger diverged"):
             tracer.end()
@@ -67,7 +67,7 @@ def test_mid_run_reset_detected() -> None:
     tracer = Tracer(resources)
     tracer.begin("read")
     tracer.channel(0, "tR", 50.0)
-    resources.reset()  # rewinding the ledger loses the folded charge
+    resources.channel_busy_ns[0] = 0.0  # rewinding the ledger loses the folded charge
     with SimSanitizer():
         with pytest.raises(SanitizeError, match="ledger diverged"):
             tracer.end()
@@ -75,7 +75,7 @@ def test_mid_run_reset_detected() -> None:
 
 def test_preexisting_ledger_charges_are_baselined() -> None:
     resources = ResourceModel(channels=2)
-    resources.host(100.0)  # charged before the tracer was attached
+    resources.host_busy_ns += 100.0  # charged before the tracer was attached
     tracer = Tracer(resources)
     with SimSanitizer():
         tracer.begin("read")

@@ -94,10 +94,30 @@ def test_block_write_requires_full_pages():
 
 def test_stage_for_byte_access_uses_cmb():
     device = make_device()
-    addr, content, nand_ns = device.stage_for_byte_access(3)
-    assert content == page_pattern(3)
-    assert device.cmb.read(addr, 4096) == content
-    assert nand_ns > 0
+    nand_ns_each: list[float] = []
+    data, ppns = device.read_piece(3, 100, 8, {}, nand_ns_each, stage_in_cmb=True)
+    assert data == page_pattern(3)[100:108]
+    assert ppns == (3,)
+    assert device.cmb.staged_ppn(0) == 3
+    assert device.cmb.read(0, 4096) == page_pattern(3)
+    assert len(nand_ns_each) == 1 and nand_ns_each[0] > 0
+
+
+def test_read_piece_senses_each_page_once_per_command():
+    device = make_device()
+    sensed: dict[int, bytes | None] = {}
+    nand_ns_each: list[float] = []
+    first, _ = device.read_piece(3, 4090, 16, sensed, nand_ns_each)
+    second, ppns = device.read_piece(4, 0, 8, sensed, nand_ns_each)
+    assert first == page_pattern(3)[4090:] + page_pattern(4)[:10]
+    assert second == page_pattern(4)[:8]
+    assert ppns == (4,)
+    assert device.controller.pages_sensed == 2
+    assert len(nand_ns_each) == 2
+    # Without payloads the same senses happen, but no bytes come back.
+    quiet = make_device(transfer_data=False)
+    assert quiet.read_piece(3, 4090, 16, {}, []) == (None, (3, 4))
+    assert quiet.controller.pages_sensed == 2
 
 
 def test_enable_hmb_once():
@@ -112,13 +132,6 @@ def test_transfer_data_false_skips_payloads():
     result = device.block_read([0])
     assert result.pages[0] is None
     assert device.traffic.device_to_host_bytes == 4096
-
-
-def test_read_buffer_bounded():
-    device = make_device()
-    for lba in range(device.config.ssd.read_buffer_pages + 10):
-        device.controller.sense_page(lba)
-    assert len(device.controller.read_buffer) <= device.config.ssd.read_buffer_pages
 
 
 def test_nvme_queue_sees_block_reads():

@@ -1,6 +1,8 @@
-"""Tests for the optional controller read-buffer hit path."""
+"""Every page sense reads the array: the controller keeps no page cache.
 
-import dataclasses
+The read buffer holds sensed pages only for the command that sensed
+them (see ``SSDDevice.read_piece``); a later command senses again.
+"""
 
 import pytest
 
@@ -8,11 +10,10 @@ from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
 from repro.ssd.device import SSDDevice
 
 
-def make_device(read_buffer_hits: bool) -> SSDDevice:
+def make_device() -> SSDDevice:
     spec = SSDSpec(
         capacity_bytes=64 * MIB,
         mapping_region_bytes=2 * MIB,
-        read_buffer_hits=read_buffer_hits,
         read_buffer_pages=4,
     )
     config = SimConfig(
@@ -22,37 +23,16 @@ def make_device(read_buffer_hits: bool) -> SSDDevice:
 
 
 def test_disabled_by_default_rereads_nand():
-    device = make_device(read_buffer_hits=False)
-    device.controller.sense_page(5)
+    device = make_device()
+    _, nand_ns_first = device.controller.sense_page(5)
     reads_before = device.nand.reads
-    device.controller.sense_page(5)
+    _, nand_ns_second = device.controller.sense_page(5)
     assert device.nand.reads == reads_before + 1
-    assert device.controller.read_buffer_hits == 0
-
-
-def test_enabled_serves_repeat_from_buffer():
-    device = make_device(read_buffer_hits=True)
-    content_first, nand_ns_first = device.controller.sense_page(5)
-    reads_before = device.nand.reads
-    content_second, nand_ns_second = device.controller.sense_page(5)
-    assert device.nand.reads == reads_before  # no array access
-    assert content_second == content_first
-    assert nand_ns_second < nand_ns_first
-    assert device.controller.read_buffer_hits == 1
-
-
-def test_buffer_eviction_forces_rearead():
-    device = make_device(read_buffer_hits=True)
-    device.controller.sense_page(1)
-    for lba in range(10, 14):  # evicts lba 1 from the 4-slot buffer
-        device.controller.sense_page(lba)
-    reads_before = device.nand.reads
-    device.controller.sense_page(1)
-    assert device.nand.reads == reads_before + 1
+    assert nand_ns_second == nand_ns_first
 
 
 def test_write_invalidates_buffered_page():
-    device = make_device(read_buffer_hits=True)
+    device = make_device()
     device.controller.sense_page(5)
     payload = bytes([0xCD]) * 4096
     device.block_write([(5, payload)])
@@ -61,7 +41,7 @@ def test_write_invalidates_buffered_page():
 
 
 def test_timing_model_unchanged_when_disabled():
-    baseline = make_device(read_buffer_hits=False)
+    baseline = make_device()
     first = baseline.block_read([7]).latency_ns
     second = baseline.block_read([7]).latency_ns
     assert first == pytest.approx(second)
